@@ -107,11 +107,6 @@ class TnElt:
         out.coeffs = {k: c for k, c in self.coeffs.items() if len(k[1]) == w}
         return out
 
-    def truncate(self, trunc: int) -> "TnElt":
-        out = TnElt(self.n)
-        out.coeffs = {k: c for k, c in self.coeffs.items() if len(k[1]) <= trunc}
-        return out
-
     def max_weight(self) -> int:
         return max((len(k[1]) for k in self.coeffs), default=0)
 
@@ -564,21 +559,6 @@ def hexagon_residuals(phi: EnvElt) -> tuple[EnvElt, EnvElt]:
     lhs2 = env_exp((t12 + t13).scaled(half))
     rhs2 = F(t13, t23) * e(t13) * env_inv(F(t13, t12)) * e(t12) * F(t23, t12)
     return lhs1 - rhs1, lhs2 - rhs2
-
-
-def pentagon_hexagon_residual(phi: EnvElt) -> dict:
-    """Per-weight residual coefficients for the pentagon and both hexagons."""
-    pent = pentagon_residual(phi)
-    hex1, hex2 = hexagon_residuals(phi)
-    out = {}
-    for name, res in (("pentagon", pent), ("hexagon1", hex1), ("hexagon2", hex2)):
-        per_weight = {}
-        for w in range(1, phi.trunc + 1):
-            comp = res.weight_part(w)
-            if not comp.is_zero():
-                per_weight[w] = dict(comp.coeffs)
-        out[name] = per_weight
-    return out
 
 
 def hexagon_weight2_coefficient() -> Fraction:

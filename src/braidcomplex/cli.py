@@ -18,8 +18,6 @@ import tempfile
 from dataclasses import dataclass, asdict
 from fractions import Fraction
 
-import numpy as np
-
 USAGE_ERROR = 2
 LIMIT_ERROR = 3
 
@@ -87,7 +85,8 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
+    if type(obj).__module__ == "numpy":
+        # numpy scalars, recognised without importing numpy
         return obj.item()
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
@@ -266,6 +265,8 @@ def run_associator(cfg, results, checks):
 
 def _interior_configs(n, seed, count=10):
     """Well separated pseudo-random point clouds, reproducible from the seed."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     out = []
     while len(out) < count:

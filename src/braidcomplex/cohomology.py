@@ -467,14 +467,6 @@ def one_loop_trace(g: CanonicalGraph) -> TraceElt:
     return out
 
 
-def one_loop_trace_vector(v: GraphVector) -> TraceElt:
-    out = TraceElt()
-    for g, c in v.items():
-        for word, d in one_loop_trace(g).coeffs.items():
-            out.add(word, c * d)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # trees as derivation tuples, and the divergence factorization
 

@@ -112,16 +112,119 @@ def _batch_det(mat: np.ndarray) -> np.ndarray:
     return np.linalg.det(mat)
 
 
-def _cauchy_chunk(rng, k: int, m: int, center, scale: float):
-    """Sample k positions for each of m internal vertices; returns (points, density)."""
+def _cauchy_draws(rng, k: int, m: int):
+    """The configuration-free part of k Cauchy samples for m internal vertices.
+
+    Returns the radius at unit scale and the direction's cosine and sine, each
+    of shape (k, m); `_chunk_moments` scales and centres them per configuration.
+    """
     upt = rng.random((k, m))
     theta = rng.random((k, m)) * TWO_PI
-    r = scale * np.sqrt(1.0 / (1.0 - upt) ** 2 - 1.0)
-    pts = np.empty((k, m, 2))
-    pts[:, :, 0] = center[0] + r * np.cos(theta)
-    pts[:, :, 1] = center[1] + r * np.sin(theta)
-    dens = scale / (TWO_PI * (r * r + scale * scale) ** 1.5)
-    return pts, np.prod(dens, axis=1)
+    return np.sqrt(1.0 / (1.0 - upt) ** 2 - 1.0), np.cos(theta), np.sin(theta)
+
+
+def _chunk_moments(cfg, center, scale: float, draws, edges, fiber_u, arg_u, orient: float):
+    """Sum, sum of squares and mean of the weighted integrand over one chunk.
+
+    The proposal, the edge vectors and the fiber columns of the determinant are
+    built once for the configuration; each argument set then fills its own
+    columns and takes one determinant. The matrices are stored entry-major,
+    shape (E, E, k), so every entry is one contiguous run of k samples;
+    `_batch_det` reads them through a (k, E, E) view. Returns one triple per
+    argument set.
+    """
+    radial, cos, sin = draws
+    k, m = radial.shape
+    r = scale * radial
+    dens = np.prod(scale / (TWO_PI * (r * r + scale * scale) ** 1.5), axis=1)
+    px = center[0] + r * cos
+    py = center[1] + r * sin
+    xs = list(cfg[:, 0]) + [px[:, t] for t in range(m)]
+    ys = list(cfg[:, 1]) + [py[:, t] for t in range(m)]
+    rows = []
+    for a, b in edges:
+        wx = xs[a] - xs[b]
+        wy = ys[a] - ys[b]
+        rows.append((wx, wy, TWO_PI * (wx * wx + wy * wy)))
+    nf = fiber_u.shape[1]
+    mat = np.empty((len(edges), nf + arg_u[0].shape[1], k))
+
+    def fill(u, first):
+        for e, (wx, wy, den) in enumerate(rows):
+            for c in range(u.shape[1]):
+                mat[e, first + c] = (wx * u[e, c, 1] - wy * u[e, c, 0]) / den
+
+    fill(fiber_u, 0)
+    stack = mat.transpose(2, 0, 1)
+    out = []
+    for u in arg_u:
+        fill(u, nf)
+        vals = orient * _batch_det(stack) / dens
+        out.append((float(vals.sum()), float((vals * vals).sum()), float(vals.mean())))
+    return out
+
+
+def _fiber_integrals(g: CanonicalGraph, cfgs, argsets, samples: int, seed: int):
+    """Monte-Carlo fiber integrals of one graph form at several configurations
+    and for several argument sets, all on one stream of draws.
+
+    Chunk c of `samples` draws its uniforms from SeedSequence([seed, c]) once;
+    every configuration maps them through its own Cauchy proposal (centred at
+    its mean, scaled by its diameter). A one-configuration, one-argument call
+    therefore sees exactly the draws it would see alone, and every matrix entry
+    and every whole-chunk reduction is the same arithmetic, so batching changes
+    no bit of any estimate. Configurations and arguments are taken as
+    validated. Returns, per configuration, one (MCEstimate, chunk means) pair
+    per argument set.
+    """
+    m = g.n_int
+    ucols = [_column_velocities(g, args) for args in argsets]
+    if m == 0:
+        out = []
+        for cfg in cfgs:
+            w = cfg[g.edges[0][0] - 1] - cfg[g.edges[0][1] - 1]
+            r2 = w[0] * w[0] + w[1] * w[1]
+            out.append([
+                (MCEstimate(float((w[0] * u[0, 0, 1] - w[1] * u[0, 0, 0]) / (TWO_PI * r2)),
+                            0.0, 0, seed), np.zeros(0))
+                for u in ucols
+            ])
+        return out
+
+    # the fiber columns do not depend on the arguments
+    fiber_u = ucols[0][:, : 2 * m]
+    arg_u = [u[:, 2 * m:] for u in ucols]
+    proposals = []
+    for cfg in cfgs:
+        scale = _diameter(cfg)
+        proposals.append((cfg.mean(axis=0), scale if scale >= 1e-12 else 1.0))
+    orient = -1.0 if m % 2 else 1.0
+    edges = [(a - 1, b - 1) for a, b in g.edges]
+    # moments[config][argument set] = one (sum, square sum, mean) per chunk
+    moments = [[[] for _ in argsets] for _ in cfgs]
+    done = 0
+    chunk_index = 0
+    while done < samples:
+        k = min(CHUNK, samples - done)
+        rng = np.random.default_rng(np.random.SeedSequence([seed, chunk_index]))
+        draws = _cauchy_draws(rng, k, m)
+        for cfg, (center, scale), acc in zip(cfgs, proposals, moments):
+            parts = _chunk_moments(cfg, center, scale, draws, edges, fiber_u, arg_u, orient)
+            for chunks, part in zip(acc, parts):
+                chunks.append(part)
+        done += k
+        chunk_index += 1
+    out = []
+    for acc in moments:
+        row = []
+        for chunks in acc:
+            sums, sqsums, means = zip(*chunks)
+            total = math.fsum(sums)
+            var = max(math.fsum(sqsums) - total * total / samples, 0.0)
+            stderr = math.sqrt(var / (samples - 1) / samples) if samples > 1 else float("inf")
+            row.append((MCEstimate(total / samples, stderr, samples, seed), np.array(means)))
+        out.append(row)
+    return out
 
 
 def graph_form_eval(
@@ -140,6 +243,11 @@ def graph_form_eval(
     (-1)^m relative to the per-vertex dx dy order). If the number of arguments
     does not match the form degree the result is identically zero and no
     sampling happens.
+
+    The draws depend on (seed, chunk index) only, not on the configuration or
+    the arguments: calls with one seed at different configurations share their
+    uniforms (common random numbers), and this is the one-configuration,
+    one-argument case of `_fiber_integrals`, which evaluates many at once.
     """
     cfg = as_config(cfg)
     if g.n_ext != cfg.shape[0]:
@@ -149,55 +257,12 @@ def graph_form_eval(
         if a.shape != cfg.shape:
             raise ValueError("argument shape must match the configuration")
     if len(args) != g.star_degree:
-        est = MCEstimate(0.0, 0.0, 0, seed)
-        return (est, np.zeros(0)) if return_chunks else est
-
-    m = g.n_int
-    ucols = _column_velocities(g, args)
-    if m == 0:
-        w = cfg[g.edges[0][0] - 1] - cfg[g.edges[0][1] - 1]
-        r2 = w[0] * w[0] + w[1] * w[1]
-        val = (w[0] * ucols[0, 0, 1] - w[1] * ucols[0, 0, 0]) / (TWO_PI * r2)
-        est = MCEstimate(float(val), 0.0, 0, seed)
-        return (est, np.zeros(0)) if return_chunks else est
-
-    center = cfg.mean(axis=0)
-    scale = _diameter(cfg)
-    if scale < 1e-12:
-        scale = 1.0
-    orient = -1.0 if m % 2 else 1.0
-
-    n = g.n_ext
-    edges = np.array(g.edges) - 1
-    sums, sqsums, chunk_means = [], [], []
-    done = 0
-    chunk_index = 0
-    while done < samples:
-        k = min(CHUNK, samples - done)
-        rng = np.random.default_rng(np.random.SeedSequence([seed, chunk_index]))
-        pts, dens = _cauchy_chunk(rng, k, m, center, scale)
-        pos = np.empty((k, n + m, 2))
-        pos[:, :n] = cfg
-        pos[:, n:] = pts
-        w = pos[:, edges[:, 0]] - pos[:, edges[:, 1]]
-        r2 = w[:, :, 0] ** 2 + w[:, :, 1] ** 2
-        mat = (
-            w[:, :, 0, None] * ucols[None, :, :, 1]
-            - w[:, :, 1, None] * ucols[None, :, :, 0]
-        ) / (TWO_PI * r2[:, :, None])
-        vals = orient * _batch_det(mat) / dens
-        sums.append(float(vals.sum()))
-        sqsums.append(float((vals * vals).sum()))
-        chunk_means.append(float(vals.mean()))
-        done += k
-        chunk_index += 1
-    total = math.fsum(sums)
-    total_sq = math.fsum(sqsums)
-    mean = total / samples
-    var = max(total_sq - total * total / samples, 0.0)
-    stderr = math.sqrt(var / (samples - 1) / samples) if samples > 1 else float("inf")
-    est = MCEstimate(mean, stderr, samples, seed)
-    return (est, np.array(chunk_means)) if return_chunks else est
+        est, chunks = MCEstimate(0.0, 0.0, 0, seed), np.zeros(0)
+    elif g.n_int and samples < 1:
+        raise ValueError("sampling needs a positive sample count")
+    else:
+        est, chunks = _fiber_integrals(g, [cfg], [args], samples, seed)[0][0]
+    return (est, chunks) if return_chunks else est
 
 
 # ---------------------------------------------------------------------------
@@ -250,22 +315,22 @@ def connection_eval(n: int, trunc: int, cfg, v, samples: int = 100_000, seed: in
     return out
 
 
-def _fd_weight2_coeffs(n, cfg, direction, arg, h, samples, seed):
+def _fd_weight2_coeffs(n, plus, minus, h):
     """Central difference of the weight-2 coefficients along one coordinate move.
 
-    Common random numbers: both displaced evaluations reuse the same seed, so the
-    correlated noise cancels in the difference; the spread comes from the chunk
-    means of the differences. The step must stay large enough that samples near
-    a moving external are a routine part of every chunk rather than rare huge
-    outliers; h around 1e-2 of the diameter keeps the difference variance finite.
+    `plus` and `minus` hold, per weight-2 class, the (estimate, chunk means)
+    pair of its fiber integral at the two displaced configurations. Common
+    random numbers: `flatness_residual` takes all displaced configurations of
+    one class in one `_fiber_integrals` call, so both sides use the same draws,
+    the correlated noise cancels in the difference, and the spread comes from
+    the chunk means of the differences. The step must stay large enough that
+    samples near a moving external are a routine part of every chunk rather
+    than rare huge outliers; h around 1e-2 of the diameter keeps the difference
+    variance finite.
     """
-    plus = cfg + h * direction
-    minus = cfg - h * direction
     diff: dict = {}
     err: dict = {}
-    for i, (g, coords) in enumerate(_weight2_classes(n)):
-        ep, chp = graph_form_eval(g, plus, [arg], samples, seed + 7919 * i, True)
-        em, chm = graph_form_eval(g, minus, [arg], samples, seed + 7919 * i, True)
+    for (g, coords), (ep, chp), (em, chm) in zip(_weight2_classes(n), plus, minus):
         if len(chp) > 1:
             per_chunk = (chp - chm) / (2 * h)
             d = float(np.mean(per_chunk))
@@ -292,43 +357,77 @@ def flatness_residual(
     The weight-1 identity is exact up to finite-difference error; the weight-2
     residual combines the differenced weight-2 form with the exact weight-1
     bracket term. The budget is propagated MC error plus a step-doubling gap.
+
+    Per configuration, each weight-2 class is integrated once, by one
+    `_fiber_integrals` call over the 4 * 2n displaced configurations (steps
+    +-h and +-2h along every coordinate) and the 2n unit arguments; every
+    coordinate pair then reads its differences from that table.
     """
     from .braids import tn_bracket
+
+    units = []
+    for p in range(n):
+        for ax in (0, 1):
+            e = np.zeros((n, 2))
+            e[p, ax] = 1.0
+            units.append(e)
+    nc = len(units)
+    classes = _weight2_classes(n)
+
+    def a1(c, arg):
+        # weight 1: the exact angle coefficients
+        return connection_eval(n, 1, c, arg, 0, seed)[1]
 
     reports = []
     for cfg in cfgs:
         cfg = as_config(cfg)
         h = h_rel * max(_diameter(cfg), 1.0)
-        coords = [(p, ax) for p in range(n) for ax in (0, 1)]
+        steps = (h, 2 * h)
+        # displaced[2 * (s * nc + i) + {0, 1}] = cfg +- steps[s] * units[i]
+        displaced = [
+            as_config(d)
+            for step in steps for e in units for d in (cfg + step * e, cfg - step * e)
+        ]
+        table = [
+            _fiber_integrals(g, displaced, [[e] for e in units], samples, seed + 7919 * i)
+            for i, (g, _) in enumerate(classes)
+        ]
+
+        def fd(s, i, j):
+            """Differenced weight-2 coefficients along units[i] on units[j], step index s."""
+            at = 2 * (s * nc + i)
+            return _fd_weight2_coeffs(
+                n, [t[at][j] for t in table], [t[at + 1][j] for t in table], steps[s]
+            )
+
+        at_cfg = [a1(cfg, e) for e in units]
+        moved = {
+            (i, j): (a1(cfg + h * e_i, e_j), a1(cfg - h * e_i, e_j))
+            for i, e_i in enumerate(units)
+            for j, e_j in enumerate(units)
+            if i != j
+        }
         res1 = 0.0
         res2 = 0.0
         noise = 0.0
         gap = 0.0
-        for ii in range(len(coords)):
-            for jj in range(ii + 1, len(coords)):
-                e_i = np.zeros((n, 2))
-                e_i[coords[ii]] = 1.0
-                e_j = np.zeros((n, 2))
-                e_j[coords[jj]] = 1.0
-
+        for ii in range(nc):
+            for jj in range(ii + 1, nc):
                 # weight 1: d of the exact angle coefficients, no bracket term
-                def a1(c, arg):
-                    return connection_eval(n, 1, c, arg, 0, seed)[1]
-
                 da1 = {}
-                for key in a1(cfg, e_j):
-                    pp = a1(cfg + h * e_i, e_j)[key] - a1(cfg - h * e_i, e_j)[key]
-                    qq = a1(cfg + h * e_j, e_i)[key] - a1(cfg - h * e_j, e_i)[key]
+                for key in at_cfg[jj]:
+                    pp = moved[ii, jj][0][key] - moved[ii, jj][1][key]
+                    qq = moved[jj, ii][0][key] - moved[jj, ii][1][key]
                     da1[key] = (pp - qq) / (2 * h)
                 res1 = max(res1, max(abs(x) for x in da1.values()))
 
                 # weight 2: differenced form plus the exact weight-1 bracket
-                for step in (h, 2 * h):
-                    d_i, err_i = _fd_weight2_coeffs(n, cfg, e_i, e_j, step, samples, seed)
-                    d_j, err_j = _fd_weight2_coeffs(n, cfg, e_j, e_i, step, samples, seed)
-                    x = TnElt(n, {k: Fraction(v) for k, v in a1(cfg, e_i).items() if v})
-                    y = TnElt(n, {k: Fraction(v) for k, v in a1(cfg, e_j).items() if v})
-                    br = tn_bracket(x, y)
+                x = TnElt(n, {k: Fraction(v) for k, v in at_cfg[ii].items() if v})
+                y = TnElt(n, {k: Fraction(v) for k, v in at_cfg[jj].items() if v})
+                br = tn_bracket(x, y)
+                for s, step in enumerate(steps):
+                    d_i, err_i = fd(s, ii, jj)
+                    d_j, err_j = fd(s, jj, ii)
                     keys = set(d_i) | set(d_j) | set(br.coeffs)
                     worst = 0.0
                     worst_err = 0.0

@@ -98,13 +98,6 @@ def assoc_add(a: Assoc, b: Assoc, scale=1) -> Assoc:
     return out
 
 
-def assoc_scale(a: Assoc, scale) -> Assoc:
-    scale = Fraction(scale)
-    if not scale:
-        return {}
-    return {w: c * scale for w, c in a.items()}
-
-
 def assoc_mul(a: Assoc, b: Assoc) -> Assoc:
     out: Assoc = {}
     for u, c in a.items():
@@ -247,10 +240,6 @@ def assoc_to_lie(a: Assoc) -> LieElt:
     for w in [w for w, c in out.coeffs.items() if not c]:
         del out.coeffs[w]
     return out
-
-
-def lie_bracket(a: LieElt, b: LieElt) -> LieElt:
-    return a.bracket(b)
 
 
 def apply_derivation(images: dict[int, LieElt], x: LieElt) -> LieElt:

@@ -894,12 +894,6 @@ class WordForm:
                 out._put(words, dvars, poly.scale(c))
         return out
 
-    def scale_poly(self, p: Poly):
-        out = WordForm(self.nvars, self.nil)
-        for (words, dvars), poly in self.terms.items():
-            out._put(words, dvars, poly * p)
-        return out
-
     def mul(self, other: "WordForm") -> "WordForm":
         """Product for single-factor values: concatenate words, wedge forms."""
         out = WordForm(self.nvars, self.nil)

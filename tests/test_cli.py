@@ -1,6 +1,9 @@
 """End-to-end checks of the command line front end and its report files."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -72,6 +75,20 @@ class TestExactCommands:
         assert {"cohomology", "sder", "div-check", "aw-test",
                 "transport-test"} <= prefixes
         assert "enumerate" in rep["results"]
+
+    def test_exact_command_does_not_import_numpy(self, tmp_path):
+        # numpy's import is most of a cold exact command's start-up time
+        probe = (
+            "import sys\n"
+            "from braidcomplex import cli\n"
+            "code = cli.main(['enumerate', '--n', '2', '--weight', '2', '--out', sys.argv[1]])\n"
+            "print(code, 'numpy' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", probe, str(tmp_path / "e.json")],
+                              capture_output=True, text=True, env=env, check=True)
+        assert done.stdout.splitlines()[-1] == "0 False"
 
 
 class TestNumericCommands:

@@ -48,6 +48,12 @@ def test_degree_mismatch_is_exact_zero():
     assert est.value == 0.0 and est.stderr == 0.0 and est.samples == 0
 
 
+def test_sampling_needs_a_positive_sample_count():
+    with pytest.raises(ValueError):
+        forms.graph_form_eval(TRIPOD, [[0, 0], [1, 0], [0, 1]], [[[1, 0], [0, 0], [0, 0]]],
+                              samples=0, seed=0)
+
+
 def test_estimates_are_reproducible():
     cfg = [[0.0, 0.0], [1.0, 0.0], [0.3, 0.9]]
     v = [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]
