@@ -180,14 +180,16 @@ def _fiber_integrals(g: CanonicalGraph, cfgs, argsets, samples: int, seed: int):
     m = g.n_int
     ucols = [_column_velocities(g, args) for args in argsets]
     if m == 0:
+        # no fiber: the form is the determinant of the E x E angle-form matrix
+        ends = np.array(g.edges, dtype=int).reshape(-1, 2) - 1
         out = []
         for cfg in cfgs:
-            w = cfg[g.edges[0][0] - 1] - cfg[g.edges[0][1] - 1]
-            r2 = w[0] * w[0] + w[1] * w[1]
+            w = cfg[ends[:, 0]] - cfg[ends[:, 1]]
+            den = (TWO_PI * (w[:, 0] * w[:, 0] + w[:, 1] * w[:, 1]))[:, None]
+            mats = [(w[:, None, 0] * u[:, :, 1] - w[:, None, 1] * u[:, :, 0]) / den for u in ucols]
             out.append([
-                (MCEstimate(float((w[0] * u[0, 0, 1] - w[1] * u[0, 0, 0]) / (TWO_PI * r2)),
-                            0.0, 0, seed), np.zeros(0))
-                for u in ucols
+                (MCEstimate(float(_batch_det(mat[None])[0]), 0.0, 0, seed), np.zeros(0))
+                for mat in mats
             ])
         return out
 

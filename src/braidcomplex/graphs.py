@@ -170,28 +170,34 @@ def _search_canonical(n_ext, n_int, edges_sorted):
     Returns (best edge tuple, sign), sign 0 when some optimal relabeling has odd edge
     permutation parity relative to an even one (the graph is zero). The sign is the
     parity of the permutation taking `edges_sorted` order to the canonical order.
+
+    Internal vertices get labels n_ext+1, n_ext+2, ... in search order, so at depth d
+    every unplaced vertex ends up at a label >= p = n_ext+d+1. Each edge is bounded
+    from below by what it can still become: its relabeled pair if both ends are
+    placed, (x, p) if one end is placed at x, (p, p+1) if neither is. Sorting keeps
+    elementwise bounds in order, so the sorted bound is <= every completion's key,
+    and a branch is cut only when that bound is strictly greater than the best key
+    so far. Every leaf with the optimal key is therefore still reached, and the sign
+    (or its cancellation) is read from all of them.
     """
-    e_count = len(edges_sorted)
-    if n_int == 0 or e_count == 0:
+    if n_int == 0 or not edges_sorted:
         return tuple(edges_sorted), 1
-    adj: dict[int, list[int]] = {}
+    total = n_ext + n_int
+    adj: list[list[int]] = [[] for _ in range(total + 1)]
     for a, b in edges_sorted:
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    internals = list(range(n_ext + 1, n_ext + n_int + 1))
-    pos: dict[int, int] = {}
+        adj[a].append(b)
+        adj[b].append(a)
+    internals = range(n_ext + 1, total + 1)
+    lab = list(range(n_ext + 1)) + [0] * n_int  # new label by vertex; 0: not placed
     best: list | None = None
     best_signs: set[int] = set()
-
-    def relabeled(v):
-        return v if v <= n_ext else pos[v]
 
     def dfs(depth):
         nonlocal best
         if depth == n_int:
             seq = []
             for a, b in edges_sorted:
-                x, y = relabeled(a), relabeled(b)
+                x, y = lab[a], lab[b]
                 seq.append((x, y) if x < y else (y, x))
             key = sorted(seq)
             if best is None or key < best:
@@ -201,35 +207,31 @@ def _search_canonical(n_ext, n_int, edges_sorted):
             elif key == best:
                 best_signs.add(_sort_parity(seq))
             return
-        if best is not None:
-            det = []
-            for a, b in edges_sorted:
-                if (a <= n_ext or a in pos) and (b <= n_ext or b in pos):
-                    x, y = relabeled(a), relabeled(b)
-                    det.append((x, y) if x < y else (y, x))
-            # every not-yet-determined edge relabels to at least this
-            filler = (1, n_ext + depth + 1)
-            det.extend([filler] * (e_count - len(det)))
-            det.sort()
-            if det > best:
-                return
         p = n_ext + depth + 1
+        if best is not None:
+            bound = []
+            for a, b in edges_sorted:
+                x, y = lab[a], lab[b]
+                if x and y:
+                    bound.append((x, y) if x < y else (y, x))
+                elif x or y:
+                    bound.append((x or y, p))
+                else:
+                    bound.append((p, p + 1))
+            bound.sort()
+            if bound > best:
+                return
         ranked = []
         for v in internals:
-            if v in pos:
+            if lab[v]:
                 continue
-            contrib = []
-            for u in adj.get(v, ()):
-                if u <= n_ext or u in pos:
-                    x = relabeled(u)
-                    contrib.append((x, p) if x < p else (p, x))
-            contrib.sort()
-            ranked.append((0 if contrib else 1, contrib, -len(adj.get(v, ())), v))
+            contrib = sorted((lab[u], p) for u in adj[v] if lab[u])
+            ranked.append((0 if contrib else 1, contrib, -len(adj[v]), v))
         ranked.sort()
         for _, _, _, v in ranked:
-            pos[v] = p
+            lab[v] = p
             dfs(depth + 1)
-            del pos[v]
+            lab[v] = 0
 
     dfs(0)
     assert best is not None
@@ -508,10 +510,20 @@ def _is_connected(m, edges):
 
 
 @lru_cache(maxsize=None)
-def internal_cores(m: int, e_ii: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+def internal_cores(
+    m: int, e_ii: int, max_deficit: int | None = None
+) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Connected simple graphs on m unlabeled vertices with e_ii edges, as canonical
     edge tuples on labels 1..m. These are the internal skeletons of internally
-    connected graphs; leg assignment happens separately."""
+    connected graphs; leg assignment happens separately.
+
+    With `max_deficit` set, cores whose trivalence deficit sum(max(0, 3 - deg))
+    exceeds it are never built: their degree sequences are skipped before any
+    labeled graph is. Enumeration passes the number of legs e_mix, since a core
+    with a larger deficit cannot be made trivalent by its legs; the unbounded set
+    is the tests' reference. Which labeled core represents a class does not affect
+    the output either: every full graph is canonicalized again in `_assign_legs`.
+    """
     if m <= 1:
         return ((),) if e_ii == 0 else ()
     if e_ii < m - 1 or e_ii > m * (m - 1) // 2:
@@ -520,6 +532,8 @@ def internal_cores(m: int, e_ii: int) -> tuple[tuple[tuple[int, int], ...], ...]
     mindeg = 1  # connectivity forces at least one edge per vertex when m >= 2
     for degs in _nonincreasing_sequences(m, 2 * e_ii, m - 1):
         if degs[-1] < mindeg:
+            continue
+        if max_deficit is not None and sum(max(0, 3 - d) for d in degs) > max_deficit:
             continue
         for edges in _graphs_with_degrees(degs):
             if not _is_connected(m, edges):
@@ -546,16 +560,14 @@ def enumerate_internally_connected(n_ext: int, weight: int) -> tuple[CanonicalGr
         hi = min(m * (m - 1) // 2, weight + m - 1)
         for e_ii in range(lo, hi + 1):
             e_mix = weight + m - e_ii
-            if e_mix < 1:
+            if e_mix < 1 or n_ext * m < e_mix:
                 continue
-            for core in internal_cores(m, e_ii):
+            for core in internal_cores(m, e_ii, e_mix):
                 ideg = [0] * (m + 1)
                 for a, b in core:
                     ideg[a] += 1
                     ideg[b] += 1
                 mins = [max(0, 3 - ideg[v]) for v in range(1, m + 1)]
-                if sum(mins) > e_mix or n_ext * m < e_mix:
-                    continue
                 core_edges = tuple((a + n_ext, b + n_ext) for a, b in core)
                 _assign_legs(n_ext, m, core_edges, mins, e_mix, found)
     return tuple(sorted(found, key=CanonicalGraph.sort_key))

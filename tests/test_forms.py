@@ -43,6 +43,19 @@ def test_single_edge_is_the_angle_form():
     assert est.stderr == 0.0
 
 
+def test_graph_without_internal_vertices_is_the_angle_form_determinant():
+    cfg = [[0.0, 0.0], [1.3, 0.4], [-0.2, 0.9]]
+    v1 = [[0.1, -0.2], [0.7, 0.3], [-0.5, 0.2]]
+    v2 = [[0.4, 0.6], [-0.3, 0.1], [0.2, -0.8]]
+    g = CanonicalGraph(3, 0, ((1, 2), (2, 3)))
+    est = forms.graph_form_eval(g, cfg, [v1, v2], samples=5, seed=1)
+    af = forms.angle_form_eval
+    det = af(cfg, 1, 2, v1) * af(cfg, 2, 3, v2) - af(cfg, 1, 2, v2) * af(cfg, 2, 3, v1)
+    assert est.value == pytest.approx(det, rel=1e-12, abs=1e-15)
+    assert est.value != pytest.approx(af(cfg, 1, 2, v1))
+    assert est.stderr == 0.0 and est.samples == 0
+
+
 def test_degree_mismatch_is_exact_zero():
     est = forms.graph_form_eval(TRIPOD, [[0, 0], [1, 0], [0, 1]], [], samples=10**9, seed=0)
     assert est.value == 0.0 and est.stderr == 0.0 and est.samples == 0

@@ -1,10 +1,11 @@
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from braidcomplex import graphs
 from braidcomplex.graphs import (
     CanonicalGraph,
     DoubleEdgeError,
@@ -84,6 +85,73 @@ def test_zero_graph_detected():
     edges = [(1, 3), (2, 4), (1, 5), (2, 6), (3, 4), (4, 5), (5, 6), (3, 6)]
     g, sign = canonicalize(2, 4, edges)
     assert g is None and sign == 0
+
+
+def brute_force_canonical(n_ext, n_int, edges):
+    """Least sorted relabeled edge list over all n_int! internal relabelings, with the
+    parity of the edge permutation that sorts it; 0 when both parities reach it."""
+    best, signs = None, set()
+    for perm in permutations(range(n_ext + 1, n_ext + n_int + 1)):
+        lab = (*range(n_ext + 1), *perm)
+        seq = [(lab[a], lab[b]) if lab[a] < lab[b] else (lab[b], lab[a]) for a, b in edges]
+        key = sorted(seq)
+        if best is None or key < best:
+            best, signs = key, set()
+        elif key > best:
+            continue
+        inv = sum(1 for i, x in enumerate(seq) for y in seq[i + 1:] if y < x)
+        signs.add(-1 if inv & 1 else 1)
+    return tuple(best), (0 if len(signs) == 2 else signs.pop())
+
+
+def canonical_search_inputs(monkeypatch, blocks):
+    """Every distinct input of the canonical search met while enumerating `blocks`
+    from empty caches, cores included."""
+    seen = set()
+    search = graphs._search_canonical
+
+    def recording(*key):
+        seen.add(key)
+        return search(*key)
+
+    monkeypatch.setattr(graphs, "_search_canonical", recording)
+    monkeypatch.setattr(graphs, "_canon_cache", {})
+    for name in ("internal_cores", "enumerate_internally_connected", "enumerate_admissible"):
+        monkeypatch.setattr(graphs, name, getattr(graphs, name).__wrapped__)
+    for n, w in blocks:
+        graphs.enumerate_admissible(n, w)
+    return seen
+
+
+def test_canonical_search_matches_brute_force_on_enumeration(monkeypatch):
+    blocks = [(n, w) for n in (2, 3, 4) for w in (1, 2, 3)]
+    inputs = canonical_search_inputs(monkeypatch, blocks)
+    assert len(inputs) > 250
+    for key in inputs:
+        assert graphs._search_canonical(*key) == brute_force_canonical(*key), key
+
+
+def test_canonical_search_matches_brute_force_on_cores():
+    count = 0
+    for m in range(2, 7):
+        for e_ii in range(m - 1, m * (m - 1) // 2 + 1):
+            for degs in graphs._nonincreasing_sequences(m, 2 * e_ii, m - 1):
+                for edges in graphs._graphs_with_degrees(degs):
+                    if not graphs._is_connected(m, edges):
+                        continue
+                    key = (0, m, tuple(sorted(edges)))
+                    assert graphs._search_canonical(*key) == brute_force_canonical(*key), key
+                    count += 1
+    assert count > 800
+
+
+@pytest.mark.parametrize("n,w", [(3, 4), (4, 3)])
+def test_deficit_bound_keeps_enumeration(n, w, monkeypatch):
+    bounded = enumerate_internally_connected(n, w)
+    unbounded_cores = graphs.internal_cores
+    monkeypatch.setattr(graphs, "internal_cores",
+                        lambda m, e_ii, max_deficit=None: unbounded_cores(m, e_ii))
+    assert enumerate_internally_connected.__wrapped__(n, w) == bounded
 
 
 def test_canonical_edges_are_sorted_and_minimal():
@@ -229,6 +297,11 @@ def test_enumeration_counts_frozen():
     assert len(enumerate_internally_connected(3, 1)) == 3
     # weight 2 on three externals: the tripod alone
     assert enumerate_internally_connected(3, 2) == (TRIPOD,)
+    for (n, w), (connected, admissible) in {
+        (3, 3): (22, 26), (3, 4): (135, 204), (4, 3): (52, 96), (4, 4): (395, 788),
+    }.items():
+        assert len(enumerate_internally_connected(n, w)) == connected
+        assert len(enumerate_admissible(n, w)) == admissible
 
 
 def test_enumerate_admissible_contains_products():
