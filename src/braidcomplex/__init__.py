@@ -3,7 +3,8 @@ whose holonomy produces Drinfeld associators.
 
 The package is organized bottom-up:
 
-- ``exact``: sparse rational linear algebra (ranks, kernels, membership, cohomology).
+- ``exact``: sparse rational linear algebra (ranks, kernels, membership, normal forms
+  modulo a span, cohomology).
 - ``graphs``: admissible graphs with signed edge orderings, canonical forms, the two
   differentials, enumeration, and the induced Lie brackets.
 - ``freelie``: free Lie algebras in the Lyndon basis plus cyclic-word (trace) spaces.

@@ -234,12 +234,8 @@ def envelope_weight(n: int, w: int):
     ech = echelon_from_matrix(SparseRationalMatrix.from_entries(r, len(monos), entries))
     ech.back_reduce()
     basis = tuple(m for i, m in enumerate(monos) if i not in ech.pivots)
-    reduce_table = {m: {m: Fraction(1)} for m in basis}
-    for col, row in ech.pivots.items():
-        pivot = row[col]
-        reduce_table[monos[col]] = {
-            monos[d]: Fraction(-v, pivot) for d, v in row.items() if d != col
-        }
+    reduce_table = {m: {monos[d]: v for d, v in ech.normal_form(i).items()}
+                    for i, m in enumerate(monos)}
     return basis, reduce_table
 
 

@@ -64,6 +64,8 @@ class RunConfig:
                 raise UsageError(f"--{name} must be positive, got {value}")
         if self.command in NUMERIC_COMMANDS and self.seed is None:
             raise UsageError(f"{self.command} samples randomly: --seed is required")
+        if self.command == "flatness" and self.n < 2:
+            raise UsageError(f"flatness needs --n >= 2 points, got {self.n}")
 
 
 class GraphBudget:
@@ -317,13 +319,15 @@ def run_aw_test(cfg, results, checks):
     right = tr.twist_module(tr.standard_simplex_module(1, cap), seed + 11)
     bi = tr.box_product(left, right)
     rng = random.Random(seed)
+    projs = {(p, q): tr.bidegree_complement_projector(bi, p, q)
+             for p in range(cap + 1) for q in range(cap + 1 - p)}
     round_ok = True
     for p in range(cap + 1):
         for q in range(cap + 1 - p):
             vec = tr._random_vec(bi.dim(p, q), rng)
             back = tr.aw_map(bi, p + q, tr.shuffle_map(bi, p, q, vec))
             for (pp, qq), v in back.items():
-                proj = tr.bidegree_complement_projector(bi, pp, qq)
+                proj = projs[(pp, qq)]
                 want = proj.apply(vec) if (pp, qq) == (p, q) else {}
                 round_ok = round_ok and tr._vec_eq(proj.apply(v), want)
     checks.append({"name": "aw_sh_normalized_identity", "pass": round_ok,

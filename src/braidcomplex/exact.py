@@ -144,6 +144,11 @@ class SparseRationalMatrix:
 
     @classmethod
     def parse(cls, text: str) -> "SparseRationalMatrix":
+        """Inverse of dump(); any malformed dump raises ValueError.
+
+        The header's nnz is the number of stored entries, so a zero value or a
+        repeated position is malformed too.
+        """
         toks = text.split()
         if len(toks) < 3:
             raise ValueError("matrix dump too short")
@@ -152,8 +157,18 @@ class SparseRationalMatrix:
             raise ValueError("matrix dump length does not match header")
         m = cls(nrows, ncols)
         for i in range(nnz):
-            r, c, val = toks[3 + 3 * i], toks[4 + 3 * i], toks[5 + 3 * i]
-            m.set_entry(int(r), int(c), Fraction(val))
+            r, c, val = int(toks[3 + 3 * i]), int(toks[4 + 3 * i]), toks[5 + 3 * i]
+            if not (0 <= r < nrows and 0 <= c < ncols):
+                raise ValueError(f"entry ({r}, {c}) outside {nrows}x{ncols} matrix")
+            if c in m.rows[r]:
+                raise ValueError(f"entry ({r}, {c}) repeated")
+            try:
+                v = Fraction(val)
+            except ZeroDivisionError:
+                raise ValueError(f"entry ({r}, {c}) has zero denominator") from None
+            if not v:
+                raise ValueError(f"entry ({r}, {c}) is zero")
+            m.rows[r][c] = v
         return m
 
 
@@ -230,6 +245,17 @@ class Echelon:
             for c2, row in list(self.pivots.items()):
                 if c2 != c and c in row:
                     self.pivots[c2] = _normalize(_combine(row, piv[c], piv, -row[c]))
+
+    def normal_form(self, col: int) -> dict[int, Fraction]:
+        """The unit vector at `col` modulo the row span, as {col: Fraction}.
+
+        Call back_reduce() first: the result is then the unique vector of
+        e_col + span that vanishes on every pivot column.
+        """
+        piv = self.pivots.get(col)
+        if piv is None:
+            return {col: Fraction(1)}
+        return {d: Fraction(-v, piv[col]) for d, v in piv.items() if d != col}
 
     @property
     def rank(self) -> int:

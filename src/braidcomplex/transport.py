@@ -20,6 +20,9 @@ Conventions fixed here and relied on by the tests:
     sum_i (-1)^i d^h_i + (-1)^p sum_j (-1)^j d^v_j on bidegree (p,q).
   * word values are truncated by total word length across all tensor factors,
     so every holonomy series terminates.
+
+The module does no elimination of its own: span projectors are normal forms
+from exact.Echelon.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .exact import SparseRationalMatrix, membership, rank_kernel_image
+from .exact import SparseRationalMatrix, echelon_from_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +135,11 @@ def _vec_add(acc: dict, vec: dict, scale=Fraction(1)):
         elif i in acc:
             del acc[i]
     return acc
+
+
+def _vec_tensor(x: dict, y: dict, ny: int) -> dict:
+    """Tensor of two sparse vectors; the second factor has dimension ny."""
+    return {ix * ny + iy: cx * cy for ix, cx in x.items() for iy, cy in y.items()}
 
 
 def _vec_eq(a: dict, b: dict) -> bool:
@@ -475,6 +483,17 @@ def aw_map(bi: BiSimplicialModule, n: int, vec: dict) -> dict:
     return out
 
 
+def _degenerate(bi: BiSimplicialModule, p: int, q: int, vsteps, hsteps, vec: dict) -> dict:
+    """Apply to a bidegree (p,q) chain the vertical degeneracies indexed by
+    vsteps, then the horizontal ones indexed by hsteps, one level at a time."""
+    for lvl, j in enumerate(vsteps, q):
+        vec = bi.vdegen[(p, lvl, j)].apply(vec)
+    top = q + len(vsteps)
+    for lvl, i in enumerate(hsteps, p):
+        vec = bi.hdegen[(lvl, top, i)].apply(vec)
+    return vec
+
+
 def shuffle_map(bi: BiSimplicialModule, p: int, q: int, vec: dict) -> dict:
     """Send a bidegree (p,q) chain to the diagonal level p+q via the signed
     sum over (p,q)-shuffles of degeneracy composites."""
@@ -482,16 +501,7 @@ def shuffle_map(bi: BiSimplicialModule, p: int, q: int, vec: dict) -> dict:
         raise ValueError("target level exceeds the module cap")
     out = {}
     for mu, nu, sign in shuffles_with_signs(p, q).entries:
-        w = dict(vec)
-        lvl = q
-        for j in mu:
-            w = bi.vdegen[(p, lvl, j)].apply(w)
-            lvl += 1
-        lvl = p
-        for i in nu:
-            w = bi.hdegen[(lvl, p + q, i)].apply(w)
-            lvl += 1
-        _vec_add(out, w, Fraction(sign))
+        _vec_add(out, _degenerate(bi, p, q, mu, nu, vec), Fraction(sign))
     return out
 
 
@@ -521,28 +531,6 @@ def chain_boundary_matrix(module: SimplicialModule, k: int) -> SparseRationalMat
     return out
 
 
-def _echelon_insert(pivots: dict, vec: dict):
-    """Reduce a vector against the pivot rows and adopt it if nonzero."""
-    vec = dict(vec)
-    while vec:
-        lead = min(vec)
-        piv = pivots.get(lead)
-        if piv is None:
-            pivots[lead] = vec
-            return
-        _vec_add(vec, piv, -vec[lead] / piv[lead])
-
-
-def _echelon_reduce(pivots: dict, vec: dict) -> dict:
-    """Canonical representative of a vector modulo the pivot span."""
-    vec = dict(vec)
-    for lead in sorted(pivots):
-        if lead in vec:
-            piv = pivots[lead]
-            _vec_add(vec, piv, -vec[lead] / piv[lead])
-    return vec
-
-
 def _span_projector(mats, dim: int) -> SparseRationalMatrix:
     """Projector whose kernel is the combined column span of the matrices.
 
@@ -550,21 +538,14 @@ def _span_projector(mats, dim: int) -> SparseRationalMatrix:
     is reduced against it; the image is the coordinate complement of the
     pivot positions, an explicit normalized-chain model.
     """
-    pivots = {}
-    for s in mats:
-        for c in range(s.ncols):
-            col = {r: row[c] for r, row in enumerate(s.rows) if c in row}
-            if col:
-                _echelon_insert(pivots, col)
-    for c in sorted(pivots, reverse=True):
-        piv = pivots[c]
-        for c2, col in pivots.items():
-            if c2 != c and c in col:
-                _vec_add(col, piv, -col[c] / piv[c])
+    cols = [col for s in mats for col in s.transpose().rows]
+    span = SparseRationalMatrix(len(cols), dim)
+    span.rows = cols
+    ech = echelon_from_matrix(span)
+    ech.back_reduce()
     proj = SparseRationalMatrix(dim, dim)
     for j in range(dim):
-        vec = _echelon_reduce(pivots, {j: Fraction(1)})
-        for r, v in vec.items():
+        for r, v in ech.normal_form(j).items():
             proj.set_entry(r, j, v)
     return proj
 
@@ -617,11 +598,7 @@ def monoidal_aw_check(a_mod: BiSimplicialModule, b_mod: BiSimplicialModule,
 
     prod = level_tensor(a_mod, b_mod)
     outer = box_product(diag_a, diag_b)
-    dim_bm = diag_b.dim(m + n)
-    ab = {}
-    for ia, ca in avec.items():
-        for ib, cb in bvec.items():
-            ab[ia * diag_b.dim(n) + ib] = ca * cb
+    ab = _vec_tensor(avec, bvec, diag_b.dim(n))
     route_one = aw_map(prod, m + n, shuffle_map(outer, m, n, ab))
 
     route_two = {}
@@ -631,33 +608,13 @@ def monoidal_aw_check(a_mod: BiSimplicialModule, b_mod: BiSimplicialModule,
         for (pb, qb), y in aw_b.items():
             target = (pa + pb, qa + qb)
             twist = Fraction((-1) ** (qa * pb))
+            nb = b_mod.dim(*target)
             for mu1, nu1, s1 in shuffles_with_signs(pa, pb).entries:
                 for mu2, nu2, s2 in shuffles_with_signs(qa, qb).entries:
-                    xa = dict(x)
-                    lvl = qa
-                    for j in nu2:
-                        xa = a_mod.vdegen[(pa, lvl, j)].apply(xa)
-                        lvl += 1
-                    lvl = pa
-                    for i in nu1:
-                        xa = a_mod.hdegen[(lvl, qa + qb, i)].apply(xa)
-                        lvl += 1
-                    yb = dict(y)
-                    lvl = qb
-                    for j in mu2:
-                        yb = b_mod.vdegen[(pb, lvl, j)].apply(yb)
-                        lvl += 1
-                    lvl = pb
-                    for i in mu1:
-                        yb = b_mod.hdegen[(lvl, qa + qb, i)].apply(yb)
-                        lvl += 1
-                    joint = {}
-                    nb = b_mod.dim(pa + pb, qa + qb)
-                    for ia, ca in xa.items():
-                        for ib, cb in yb.items():
-                            joint[ia * nb + ib] = ca * cb
-                    _vec_add(route_two.setdefault(target, {}), joint,
-                             twist * s1 * s2)
+                    xa = _degenerate(a_mod, pa, qa, nu2, nu1, x)
+                    yb = _degenerate(b_mod, pb, qb, mu2, mu1, y)
+                    _vec_add(route_two.setdefault(target, {}),
+                             _vec_tensor(xa, yb, nb), twist * s1 * s2)
     route_two = {k: v for k, v in route_two.items() if v}
     keys = set(route_one) | set(route_two)
     for key in keys:
@@ -810,6 +767,17 @@ class Poly:
 
 # ---------------------------------------------------------------------------
 # word-valued polynomial forms
+
+def _bar_face(words, i):
+    """Face i of a bar word tuple, or None where it vanishes: face 0 drops an
+    empty first factor, the last face an empty last factor, and a middle face
+    multiplies factors i-1 and i."""
+    if i == 0:
+        return words[1:] if words and words[0] == () else None
+    if i == len(words):
+        return words[:-1] if words[-1] == () else None
+    return words[:i - 1] + (words[i - 1] + words[i],) + words[i + 1:]
+
 
 def _wedge_merge(d1, d2):
     """Merge two increasing index tuples; None on a repeat, else (sign, merged)."""
@@ -986,16 +954,10 @@ class WordForm:
         """Alternating sum of counit, adjacent multiplication, counit faces."""
         out = WordForm(self.nvars, self.nil)
         for (words, dvars), poly in self.terms.items():
-            r = len(words)
-            if r == 0:
-                continue
-            if words[0] == ():
-                out._put(words[1:], dvars, poly)
-            for i in range(1, r):
-                merged = words[:i - 1] + (words[i - 1] + words[i],) + words[i + 1:]
-                out._put(merged, dvars, poly.scale((-1) ** i))
-            if words[-1] == ():
-                out._put(words[:-1], dvars, poly.scale((-1) ** r))
+            for i in range(len(words) + 1):
+                face = _bar_face(words, i)
+                if face is not None:
+                    out._put(face, dvars, poly.scale((-1) ** i))
         return out
 
     def without_units(self) -> "WordForm":
@@ -1207,42 +1169,19 @@ def k_map(conn: PolyConnection) -> dict:
     full = tuple(range(n))
     out = {}
     for (words, dvars), poly in power.terms.items():
-        if dvars != full:
-            continue
-        val = poly.simplex_integral()
-        if val:
-            w = out.get(words, 0) + val
-            if w:
-                out[words] = w
-            else:
-                del out[words]
+        if dvars == full:
+            _vec_add(out, {words: poly.simplex_integral()})
     return out
 
 
 def bar_boundary(elt: dict, nil: int) -> dict:
     """Bar differential on {words: Fraction} elements."""
     out = {}
-
-    def put(words, val):
-        if sum(len(w) for w in words) > nil:
-            return
-        w = out.get(words, 0) + val
-        if w:
-            out[words] = w
-        elif words in out:
-            del out[words]
-
     for words, val in elt.items():
-        r = len(words)
-        if r == 0:
-            continue
-        if words[0] == ():
-            put(words[1:], val)
-        for i in range(1, r):
-            put(words[:i - 1] + (words[i - 1] + words[i],) + words[i + 1:],
-                val * (-1) ** i)
-        if words[-1] == ():
-            put(words[:-1], val * (-1) ** r)
+        for i in range(len(words) + 1):
+            face = _bar_face(words, i)
+            if face is not None and sum(len(w) for w in face) <= nil:
+                _vec_add(out, {face: val}, (-1) ** i)
     return out
 
 
@@ -1252,13 +1191,7 @@ def k_boundary_report(conn: PolyConnection) -> dict:
     lhs = bar_boundary(k_map(conn), conn.nil)
     rhs = {}
     for i in range(conn.n + 1):
-        part = k_map(face_connection(conn, i))
-        for words, val in part.items():
-            w = rhs.get(words, 0) + val * (-1) ** i
-            if w:
-                rhs[words] = w
-            elif words in rhs:
-                del rhs[words]
+        _vec_add(rhs, k_map(face_connection(conn, i)), (-1) ** i)
     return {"ok": lhs == rhs, "n": conn.n,
             "terms": len(lhs)}
 
@@ -1292,16 +1225,9 @@ def t_face_report(conn: PolyConnection) -> dict:
         expect = t_map(face_connection(conn, i))
         got = WordForm(conn.mdim, conn.nil)
         for (words, dvars), poly in base.terms.items():
-            r = len(words)
-            if i == 0:
-                if words and words[0] == ():
-                    got._put(words[1:], dvars, poly)
-            elif i == r:
-                if words and words[-1] == ():
-                    got._put(words[:-1], dvars, poly)
-            else:
-                merged = words[:i - 1] + (words[i - 1] + words[i],) + words[i + 1:]
-                got._put(merged, dvars, poly)
+            face = _bar_face(words, i)
+            if face is not None:
+                got._put(face, dvars, poly)
         if not (got - expect).is_zero():
             return {"ok": False, "face": i}
     return {"ok": True, "n": conn.n, "faces": conn.n + 1}

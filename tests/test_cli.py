@@ -144,6 +144,11 @@ class TestUsageAndLimits:
         assert cli.main(["cohomology", "--n", "0"]) == 2
         assert "positive" in capsys.readouterr().err
 
+    def test_flatness_needs_two_points(self, tmp_path, capsys):
+        code, rep = run(tmp_path, ["flatness", "--n", "1", "--seed", "1"])
+        assert code == 2 and rep is None
+        assert "--n" in capsys.readouterr().err
+
     def test_associator_truncation_cap(self, tmp_path, capsys):
         code, rep = run(tmp_path, ["associator", "--seed", "1",
                                    "--samples", "1000", "--trunc", "3"])

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from braidcomplex.exact import (
     SparseRationalMatrix,
     cohomology_dims,
+    echelon_from_matrix,
     membership,
     rank,
     rank_kernel_image,
@@ -93,6 +94,18 @@ def test_dump_parse_round_trip_and_stability():
     assert SparseRationalMatrix.parse(text) == m
 
 
+@pytest.mark.parametrize("text", [
+    "1 1 1\n0 0 1/0\n",                # zero denominator
+    "1 1 1\n1 0 1/1\n",                # row out of range
+    "1 1 1\n0 3 1/1\n",                # column out of range
+    "2 2 2\n0 0 1/1\n0 0 2/1\n",      # repeated position: the header's nnz is 2
+    "1 1 1\n0 0 0/1\n",                # zero entry: the header's nnz is 1
+])
+def test_parse_rejects_malformed_dump(text):
+    with pytest.raises(ValueError):
+        SparseRationalMatrix.parse(text)
+
+
 fraction_st = st.fractions(
     min_value=-4, max_value=4, max_denominator=6
 )
@@ -128,3 +141,20 @@ def test_rank_nullity_and_kernel_membership(rows):
 def test_rank_of_product_bounded(rows_a, rows_b):
     a, b = dense(rows_a), dense(rows_b)
     assert rank(a @ b) <= min(rank(a), rank(b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4), min_size=1, max_size=4))
+def test_normal_form_is_unit_vector_modulo_row_span(rows):
+    m = dense(rows)
+    ech = echelon_from_matrix(m)
+    ech.back_reduce()
+    for j in range(m.ncols):
+        nf = ech.normal_form(j)
+        assert all(v for v in nf.values())
+        assert not set(nf) & set(ech.pivots)
+        diff = {j: Fraction(1)}
+        for c, v in nf.items():
+            diff[c] = diff.get(c, 0) - v
+        sol, cert = membership(m.transpose(), {c: v for c, v in diff.items() if v})
+        assert cert is None and sol is not None

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidcomplex import transport as tr
-from braidcomplex.exact import membership, rank_kernel_image
+from braidcomplex.exact import SparseRationalMatrix, membership, rank_kernel_image
 from braidcomplex.transport import Poly, PolyConnection, WordForm
 
 
@@ -244,6 +244,78 @@ class TestMonoidalCompatibility:
             tr.monoidal_aw_check(a_mod, b_mod, 3, 2)
 
 
+def _reference_projector(mats, dim):
+    """Independent Fraction echelon: insert every column with division by the
+    pivot, back-reduce, then reduce each unit vector against the span."""
+    pivots = {}
+    for s in mats:
+        for c in range(s.ncols):
+            vec = {r: row[c] for r, row in enumerate(s.rows) if c in row}
+            while vec:
+                lead = min(vec)
+                if lead not in pivots:
+                    pivots[lead] = vec
+                    break
+                tr._vec_add(vec, pivots[lead], -vec[lead] / pivots[lead][lead])
+    for c in sorted(pivots, reverse=True):
+        for c2, col in pivots.items():
+            if c2 != c and c in col:
+                tr._vec_add(col, pivots[c], -col[c] / pivots[c][c])
+    proj = SparseRationalMatrix(dim, dim)
+    for j in range(dim):
+        vec = {j: Fraction(1)}
+        for lead in sorted(pivots):
+            if lead in vec:
+                tr._vec_add(vec, pivots[lead], -vec[lead] / pivots[lead][lead])
+        for r, v in vec.items():
+            proj.set_entry(r, j, v)
+    return proj
+
+
+def _bidegree_degeneracies(bi, p, q):
+    return ([bi.hdegen[(p - 1, q, i)] for i in range(p)]
+            + [bi.vdegen[(p, q - 1, j)] for j in range(q)])
+
+
+def _aw_test_products(seed):
+    """The three box products the aw-test command builds at this seed."""
+    left = tr.standard_simplex_module(1, 3)
+    right = tr.twist_module(tr.standard_simplex_module(1, 3), seed + 11)
+    return (tr.box_product(left, right),
+            tr.box_product(left, tr.twist_module(left, seed + 21)),
+            tr.box_product(tr.twist_module(left, seed + 31), right))
+
+
+class TestSpanProjectors:
+    def assert_projector(self, proj, mats, dim):
+        assert proj == _reference_projector(mats, dim)
+        assert proj @ proj == proj
+        for s in mats:
+            assert (proj @ s).is_zero()
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_box_products_match_reference(self, seed):
+        for bi in _aw_test_products(seed):
+            for p in range(bi.cap + 1):
+                for q in range(bi.cap + 1):
+                    self.assert_projector(tr.bidegree_complement_projector(bi, p, q),
+                                          _bidegree_degeneracies(bi, p, q), bi.dim(p, q))
+            diag = tr.diagonal_module(bi)
+            for k in range(diag.cap + 1):
+                mats = [diag.degen(k - 1, i) for i in range(k)]
+                self.assert_projector(tr.degenerate_complement_projector(diag, k),
+                                      mats, diag.dim(k))
+
+    def test_level_tensor_matches_reference(self):
+        _, a_mod, b_mod = _aw_test_products(1)
+        prod = tr.level_tensor(a_mod, b_mod)
+        # the bidegrees the monoidal check lands in
+        for p in range(4):
+            for q in range(4 - p):
+                self.assert_projector(tr.bidegree_complement_projector(prod, p, q),
+                                      _bidegree_degeneracies(prod, p, q), prod.dim(p, q))
+
+
 class TestPolynomials:
     def test_arithmetic_and_calculus(self):
         x = Poly.var(2, 0)
@@ -269,6 +341,13 @@ class TestPolynomials:
             Poly(2, {(1,): 1})
         with pytest.raises(ValueError):
             Poly.var(2, 0) + Poly.var(3, 0)
+
+
+# bar elements {words: Fraction}: up to four factors, empty ones included
+bar_words = st.lists(st.lists(st.integers(0, 1), max_size=2).map(tuple),
+                     max_size=4).map(tuple)
+bar_elements = st.dictionaries(bar_words, st.integers(-3, 3).filter(bool).map(Fraction),
+                               max_size=5)
 
 
 class TestWordForms:
@@ -311,6 +390,17 @@ class TestWordForms:
         # counit drop and merge land on the same word with opposite signs
         unit_left = {((), (0,)): Fraction(1)}
         assert tr.bar_boundary(unit_left, nil=2) == {}
+
+    @settings(max_examples=150, deadline=None)
+    @given(bar_elements, st.integers(0, 8))
+    def test_bar_boundary_squares_to_zero(self, elt, nil):
+        assert tr.bar_boundary(tr.bar_boundary(elt, nil), nil) == {}
+
+    @settings(max_examples=150, deadline=None)
+    @given(bar_elements, st.integers(0, 8))
+    def test_form_bar_b_is_bar_boundary_on_constants(self, elt, nil):
+        form = WordForm(2, nil, {(words, ()): Poly.const(2, c) for words, c in elt.items()})
+        assert form.bar_b().constants() == tr.bar_boundary(form.constants(), nil)
 
 
 class TestConnections:
